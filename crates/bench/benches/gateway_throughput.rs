@@ -135,12 +135,15 @@ fn tight_stream(n_tasks: usize) -> (ClusterParams, Vec<Task>) {
 /// number of activated reservations (always 1; returned against DCE).
 fn reservation_cycle(params: ClusterParams, shapes: &(f64, f64, f64)) -> u64 {
     let (avail, d_w, d_c) = *shapes;
-    let mut g = Gateway::new(
+    let mut g = ShardedGateway::new(
         params,
+        1,
         AlgorithmKind::EDF_OPR_MN,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     for node in 0..params.num_nodes {
         rtdls_sim::frontend::Frontend::set_node_release(&mut g, node, SimTime::new(avail));
     }

@@ -50,13 +50,16 @@ fn workload() -> Vec<Task> {
         .collect()
 }
 
-fn journaled() -> JournaledGateway<Gateway> {
-    let gw = Gateway::new(
+fn journaled() -> JournaledGateway<ShardedGateway> {
+    let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(
         gw,
         JournalConfig {
@@ -178,7 +181,7 @@ fn smoke() {
 
     // And the shipped stream reconstructs the WAL byte-for-byte.
     let mut gw = ShippingGateway::new(journaled(), ShipConfig::default());
-    let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
     for t in &tasks[..32] {
         gw.inner_mut().submit(*t, t.arrival);
         gw.pump(t.arrival);

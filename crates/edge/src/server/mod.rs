@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 use rtdls_core::prelude::{Admission, SimTime, SubmitRequest};
 use rtdls_journal::prelude::{JournaledGateway, Recoverable};
 use rtdls_replica::ShippingGateway;
-use rtdls_service::prelude::{DecisionUpdate, Gateway, ShardedGateway, Verdict};
+use rtdls_service::prelude::{DecisionUpdate, ShardedGateway, Verdict};
 use rtdls_sim::frontend::Frontend;
 
 use rtdls_telemetry::{MetricsRegistry, Telemetry};
@@ -86,8 +86,8 @@ use crate::codec::DEFAULT_MAX_FRAME;
 
 /// The serving surface the edge needs from a gateway: decide submissions,
 /// advance the books with the clock, and expose the parked-task update
-/// stream. Implemented for both service gateways and for their journaled
-/// wrappers (where every call goes through the write-ahead path).
+/// stream. Implemented for the service gateway and for its journaled and
+/// shipping wrappers (where every call goes through the write-ahead path).
 pub trait EdgeGateway {
     /// Decides one submission at the server clock's `now`.
     fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict;
@@ -235,59 +235,6 @@ impl<A: Admission> EdgeGateway for ShardedGateway<A> {
         now: SimTime,
     ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
         ShardedGateway::explain(self, request, now)
-    }
-}
-
-impl<A: Admission> EdgeGateway for Gateway<A> {
-    fn decide(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        Gateway::submit_request(self, request, now)
-    }
-
-    fn drive(&mut self, now: SimTime) {
-        let _ = Frontend::take_due(self, now);
-        Frontend::on_event(self, now);
-        Frontend::activate(self, now);
-        let _ = Frontend::drain_resolutions(self);
-    }
-
-    fn take_updates(&mut self) -> Vec<DecisionUpdate> {
-        Gateway::take_decision_updates(self)
-    }
-
-    fn enable_observation(&mut self) {
-        Gateway::observe_decisions(self, true);
-    }
-
-    fn next_due(&self) -> Option<SimTime> {
-        next_due_of(self, self.deferred())
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        Gateway::attach_telemetry(self, telemetry);
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        Gateway::attach_profiler(self, profiler);
-    }
-
-    fn fold_metrics(&self, reg: &mut MetricsRegistry) {
-        Gateway::fold_metrics(self, reg);
-    }
-
-    fn enable_explanations(&mut self) {
-        Gateway::enable_explanations(self, true);
-    }
-
-    fn slo_rows(&self) -> Vec<rtdls_service::prelude::SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        Gateway::explain(self, request, now)
     }
 }
 

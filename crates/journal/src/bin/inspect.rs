@@ -503,12 +503,15 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("rtdls-inspect-seg-{tag}-{}", std::process::id()));
         let sink = SegmentedSink::create(&dir).unwrap();
-        let gateway = Gateway::new(
+        let gateway = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         let mut j = JournaledGateway::with_sink(
             gateway,
             JournalConfig {

@@ -15,8 +15,8 @@
 use rtdls_core::prelude::{
     AdmissionFailure, Infeasible, SimTime, SubmitRequest, Task, TaskId, TaskPlan,
 };
-use rtdls_service::gateway::GatewayDecision;
 use rtdls_service::prelude::{DeferredQueue, ServiceMetrics, Verdict};
+use rtdls_service::request::GatewayDecision;
 use rtdls_sim::frontend::{Frontend, SubmitOutcome};
 use rtdls_telemetry::{Stage, Telemetry};
 
@@ -493,15 +493,18 @@ impl<G: Recoverable> Frontend for JournaledGateway<G> {
 mod tests {
     use super::*;
     use rtdls_core::prelude::*;
-    use rtdls_service::prelude::{DeferPolicy, Gateway};
+    use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
 
-    fn gateway() -> Gateway {
-        Gateway::new(
+    fn gateway() -> ShardedGateway {
+        ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
         )
+        .unwrap()
     }
 
     #[test]
@@ -564,9 +567,13 @@ mod tests {
         let wal = j.journal().bytes().to_vec();
         drop(j);
 
-        let (mut recovered, _report) =
-            crate::recover::<Gateway>(&wal, SimTime::new(5.0), JournalConfig::default(), None)
-                .unwrap();
+        let (mut recovered, _report) = crate::recover::<ShardedGateway>(
+            &wal,
+            SimTime::new(5.0),
+            JournalConfig::default(),
+            None,
+        )
+        .unwrap();
         let telemetry = Telemetry::with_defaults();
         recovered.attach_telemetry(&telemetry);
         let spans = telemetry.recent_spans(4);

@@ -518,13 +518,16 @@ mod tests {
     fn snap() -> GatewaySnapshot {
         use rtdls_core::prelude::*;
         use rtdls_service::prelude::DeferPolicy;
-        use rtdls_service::prelude::Gateway;
-        let g = Gateway::new(
+        use rtdls_service::prelude::{Routing, ShardedGateway};
+        let g = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         crate::snapshot::Recoverable::capture(&g)
     }
 

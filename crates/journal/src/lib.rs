@@ -8,7 +8,7 @@
 //! restart silently dropped the whole book. This crate makes the promises
 //! durable:
 //!
-//! * **[`JournaledGateway`]** wraps a [`Gateway`] or [`ShardedGateway`] and
+//! * **[`JournaledGateway`]** wraps a [`ShardedGateway`] and
 //!   write-ahead-logs every decision-relevant input (submissions, node
 //!   completions, dispatch/replan/re-test instants) into an append-only,
 //!   checksummed, length-prefixed [`Journal`] — plus audit records of each
@@ -62,7 +62,6 @@
 //! assert!(report.demoted.is_empty(), "nothing became infeasible");
 //! ```
 //!
-//! [`Gateway`]: rtdls_service::gateway::Gateway
 //! [`ShardedGateway`]: rtdls_service::shard::ShardedGateway
 
 #![warn(missing_docs)]

@@ -507,15 +507,18 @@ mod tests {
     use crate::journal::Journal;
     use crate::snapshot::Recoverable;
     use rtdls_core::prelude::*;
-    use rtdls_service::prelude::{DeferPolicy, Gateway};
+    use rtdls_service::prelude::{DeferPolicy, Routing, ShardedGateway};
 
-    fn gateway() -> Gateway {
-        Gateway::new(
+    fn gateway() -> ShardedGateway {
+        ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
         )
+        .unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -592,7 +595,7 @@ mod tests {
 
         // The concatenated segment stream recovers to the same state as
         // the in-memory image (which spans only the newest epoch).
-        let (recovered, report) = recover_segment_dir::<Gateway>(
+        let (recovered, report) = recover_segment_dir::<ShardedGateway>(
             &dir,
             SimTime::ZERO,
             JournalConfig::default(),
@@ -604,7 +607,8 @@ mod tests {
         assert_eq!(recovered.inner().capture().normalized(), live_norm);
 
         let (from_mem, _) =
-            crate::recover::<Gateway>(&mem, SimTime::ZERO, JournalConfig::default(), None).unwrap();
+            crate::recover::<ShardedGateway>(&mem, SimTime::ZERO, JournalConfig::default(), None)
+                .unwrap();
         assert_eq!(
             recovered.inner().capture().normalized(),
             from_mem.inner().capture().normalized()
@@ -641,7 +645,7 @@ mod tests {
         let bytes = std::fs::read(active).unwrap();
         std::fs::write(active, &bytes[..3.min(bytes.len())]).unwrap();
 
-        let (recovered, report) = recover_segment_dir::<Gateway>(
+        let (recovered, report) = recover_segment_dir::<ShardedGateway>(
             &dir,
             SimTime::ZERO,
             JournalConfig::default(),

@@ -5,10 +5,10 @@
 //! node releases), the defer queue with its policy and ticket ids, the
 //! routing cursor, cumulative service metrics, and any undrained defer
 //! resolutions. Restoring a snapshot and replaying the journal events
-//! appended after it reproduces the pre-crash gateway exactly — both
-//! [`Gateway`] and [`ShardedGateway`] implement [`Recoverable`] through one
-//! shared snapshot shape (a single-cluster gateway is the one-shard special
-//! case).
+//! appended after it reproduces the pre-crash gateway exactly.
+//! [`ShardedGateway`] implements [`Recoverable`]; images written by the
+//! retired single-cluster gateway (`sharded: false`) restore as the
+//! one-shard round-robin gateway, which decides identically.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,12 +17,12 @@ use rtdls_core::prelude::{
     Task,
 };
 use rtdls_service::book::ServiceBook;
-use rtdls_service::gateway::{Gateway, GatewayDecision};
 use rtdls_service::prelude::{
     ActivationRecord, DecisionUpdate, DeferState, DeferredQueue, MetricsSnapshot, QuotaPolicy,
     ReservationBook, ReservationState, Routing, ServiceMetrics, ShardedGateway, SloBreach,
     SloStatusRow, SloTracker, TenantLedger, TenantLedgerState, Verdict,
 };
+use rtdls_service::request::GatewayDecision;
 use rtdls_sim::frontend::Frontend;
 
 /// Errors surfaced by snapshot restore and journal recovery.
@@ -34,8 +34,8 @@ pub enum JournalError {
     /// A checksum-valid record failed to parse or restore — a format/version
     /// bug rather than torn-write damage.
     Corrupt(String),
-    /// The snapshot disagrees with the gateway type or cluster shape being
-    /// recovered (e.g. a sharded snapshot restored as a single gateway).
+    /// The snapshot disagrees with the cluster shape being recovered (e.g.
+    /// shard sizes that do not tile the node count).
     Incompatible(&'static str),
     /// An I/O error from a journal file.
     Io(String),
@@ -81,18 +81,19 @@ impl From<rtdls_core::error::ModelError> for JournalError {
 /// quotas, which is exactly the pre-redesign behavior.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct GatewaySnapshot {
-    /// `true` for a [`ShardedGateway`] image, `false` for a [`Gateway`].
+    /// `true` for every image written today. `false` marks an image from
+    /// the retired single-cluster gateway (one shard, no routing), which
+    /// restores as a one-shard round-robin [`ShardedGateway`].
     pub sharded: bool,
     /// Global cluster parameters the gateway fronts.
     pub params: ClusterParams,
     /// Scheduling policy × partitioning strategy.
     pub algorithm: AlgorithmKind,
-    /// Routing policy (sharded gateways only).
+    /// Routing policy (`None` only in single-cluster images).
     pub routing: Option<Routing>,
-    /// Round-robin routing cursor (sharded gateways only; 0 otherwise).
+    /// Round-robin routing cursor (0 in single-cluster images).
     pub cursor: usize,
-    /// Per-shard controller books, in shard order (exactly one entry for a
-    /// single-cluster gateway).
+    /// Per-shard controller books, in shard order.
     pub shards: Vec<ControllerState>,
     /// The defer queue: policy, ticket-id counter, parked tickets.
     pub defer: DeferState,
@@ -129,7 +130,7 @@ impl Deserialize for GatewaySnapshot {
             sharded: field(v, "sharded")?,
             params: field(v, "params")?,
             algorithm: field(v, "algorithm")?,
-            // `routing` predates the redesign: every writer serializes it
+            // `routing` predates the redesign: every writer serialized it
             // (null for single-cluster images), so a missing key is
             // corruption and must fail like any other v1 field.
             routing: field(v, "routing")?,
@@ -173,8 +174,8 @@ impl GatewaySnapshot {
 /// A gateway the journal subsystem can persist and rebuild.
 ///
 /// Implementors must be *deterministic state machines* over the journal's
-/// input events: same state + same inputs ⇒ same state. Both service
-/// gateways satisfy this (their only nondeterminism, wall-clock latency
+/// input events: same state + same inputs ⇒ same state. The service
+/// gateway satisfies this (its only nondeterminism, wall-clock latency
 /// metrics, lives outside the captured state).
 pub trait Recoverable: Frontend + Sized {
     /// Captures the complete durable state.
@@ -220,19 +221,16 @@ pub trait Recoverable: Frontend + Sized {
 
     /// Attaches a telemetry handle for span recording. Like observation,
     /// telemetry is process-local — never captured in snapshots, never
-    /// replayed — so the owner re-attaches it after recovery. The default
-    /// keeps telemetry-unaware gateways compiling.
-    fn attach_telemetry(&mut self, _telemetry: &rtdls_telemetry::Telemetry) {}
+    /// replayed — so the owner re-attaches it after recovery.
+    fn attach_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry);
 
     /// Attaches a hot-path profiler handle for phase timing. Process-local
-    /// like telemetry; the default keeps profiler-unaware gateways
-    /// compiling.
-    fn attach_profiler(&mut self, _profiler: &rtdls_telemetry::Profiler) {}
+    /// like telemetry.
+    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler);
 
     /// Folds the gateway's native stats into the unified metrics registry
-    /// (the ops-poll surface). The default folds nothing, keeping
-    /// telemetry-unaware gateways compiling.
-    fn fold_metrics(&self, _reg: &mut rtdls_telemetry::MetricsRegistry) {}
+    /// (the ops-poll surface).
+    fn fold_metrics(&self, reg: &mut rtdls_telemetry::MetricsRegistry);
 
     /// Post-recovery re-verification: re-run the strict admission test over
     /// every restored waiting plan at `now`, demoting newly infeasible
@@ -240,33 +238,24 @@ pub trait Recoverable: Frontend + Sized {
     fn reverify(&mut self, now: SimTime) -> Vec<Task>;
 
     /// Drains the SLO-breach audit records cut since the last call
-    /// (journaled as audit output, like activations). The default keeps
-    /// SLO-unaware gateways compiling.
-    fn take_breach_log(&mut self) -> Vec<SloBreach> {
-        Vec::new()
-    }
+    /// (journaled as audit output, like activations).
+    fn take_breach_log(&mut self) -> Vec<SloBreach>;
 
-    /// The deadline-SLO status table (the `Ops::Slo` surface). Empty by
-    /// default for SLO-unaware gateways.
-    fn slo_rows(&self) -> Vec<SloStatusRow> {
-        Vec::new()
-    }
+    /// The deadline-SLO status table (the `Ops::Slo` surface).
+    fn slo_rows(&self) -> Vec<SloStatusRow>;
 
     /// Enables or disables admission explanations on refusal verdicts.
     /// Process-local like observation: never journaled, off on a restored
     /// gateway until its owner re-enables it.
-    fn enable_explanations(&mut self, _on: bool) {}
+    fn enable_explanations(&mut self, on: bool);
 
     /// The non-mutating explanation for a request the gateway would refuse
-    /// at `now` (the `Ops::Explain` surface; `None` when feasible as-is or
-    /// unsupported).
+    /// at `now` (the `Ops::Explain` surface; `None` when feasible as-is).
     fn explain_request(
         &self,
-        _request: &SubmitRequest,
-        _now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        None
-    }
+        request: &SubmitRequest,
+        now: SimTime,
+    ) -> Option<rtdls_core::prelude::AdmissionExplanation>;
 
     /// The gateway's cumulative metrics.
     fn service_metrics(&self) -> &ServiceMetrics;
@@ -276,136 +265,6 @@ pub trait Recoverable: Frontend + Sized {
 
     /// Defer verdicts reached but not yet drained by the engine.
     fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)];
-}
-
-/// Rebuilds the shared serving-layer book from a snapshot's fields.
-fn book_from_snapshot(snap: &GatewaySnapshot) -> ServiceBook {
-    let mut book = ServiceBook::from_parts(
-        DeferredQueue::from_state(snap.defer.clone()),
-        ReservationBook::from_state(snap.reservations.clone()),
-        TenantLedger::from_state(snap.ledger.clone()),
-        snap.quota,
-        ServiceMetrics::restore(&snap.metrics),
-        snap.resolutions.clone(),
-    );
-    book.slo = snap.slo.clone();
-    book
-}
-
-impl<A: Admission> Recoverable for Gateway<A> {
-    fn capture(&self) -> GatewaySnapshot {
-        GatewaySnapshot {
-            sharded: false,
-            params: *self.controller().params(),
-            algorithm: self.controller().algorithm(),
-            routing: None,
-            cursor: 0,
-            shards: vec![self.controller().state()],
-            defer: self.deferred().state(),
-            reservations: self.reservations().state(),
-            ledger: self.ledger().state(),
-            quota: *self.quota(),
-            metrics: self.metrics().snapshot(),
-            resolutions: self.pending_resolutions().to_vec(),
-            slo: self.slo().clone(),
-            epoch: 0,
-        }
-    }
-
-    fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError> {
-        if snap.sharded || snap.shards.len() != 1 {
-            return Err(JournalError::Incompatible(
-                "snapshot is not a single-cluster gateway image",
-            ));
-        }
-        let ctl = A::from_state(snap.shards[0].clone())?;
-        if ctl.params() != &snap.params {
-            return Err(JournalError::Incompatible(
-                "controller shape disagrees with the snapshot's cluster",
-            ));
-        }
-        Ok(Gateway::from_parts(ctl, book_from_snapshot(snap)))
-    }
-
-    fn decide(&mut self, task: Task, now: SimTime) -> GatewayDecision {
-        Gateway::submit(self, task, now)
-    }
-
-    fn decide_request(&mut self, request: &SubmitRequest, now: SimTime) -> Verdict {
-        Gateway::submit_request(self, request, now)
-    }
-
-    fn decide_batch(&mut self, batch: &[Task], now: SimTime) -> Vec<GatewayDecision> {
-        Gateway::submit_batch(self, batch, now)
-    }
-
-    fn reservation_book(&self) -> &ReservationBook {
-        self.reservations()
-    }
-
-    fn activate_reservations(&mut self, now: SimTime) {
-        Gateway::activate_reservations(self, now)
-    }
-
-    fn take_activation_log(&mut self) -> Vec<ActivationRecord> {
-        Gateway::take_activation_log(self)
-    }
-
-    fn observe_decisions(&mut self, on: bool) {
-        Gateway::observe_decisions(self, on)
-    }
-
-    fn take_decision_updates(&mut self) -> Vec<DecisionUpdate> {
-        Gateway::take_decision_updates(self)
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &rtdls_telemetry::Telemetry) {
-        Gateway::attach_telemetry(self, telemetry)
-    }
-
-    fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
-        Gateway::attach_profiler(self, profiler)
-    }
-
-    fn fold_metrics(&self, reg: &mut rtdls_telemetry::MetricsRegistry) {
-        Gateway::fold_metrics(self, reg)
-    }
-
-    fn reverify(&mut self, now: SimTime) -> Vec<Task> {
-        Gateway::reverify(self, now)
-    }
-
-    fn take_breach_log(&mut self) -> Vec<SloBreach> {
-        Gateway::take_breach_log(self)
-    }
-
-    fn slo_rows(&self) -> Vec<SloStatusRow> {
-        self.slo().rows()
-    }
-
-    fn enable_explanations(&mut self, on: bool) {
-        Gateway::enable_explanations(self, on)
-    }
-
-    fn explain_request(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        Gateway::explain(self, request, now)
-    }
-
-    fn service_metrics(&self) -> &ServiceMetrics {
-        self.metrics()
-    }
-
-    fn defer_queue(&self) -> &DeferredQueue {
-        self.deferred()
-    }
-
-    fn pending_resolutions(&self) -> &[(Task, Option<Infeasible>)] {
-        Gateway::pending_resolutions(self)
-    }
 }
 
 impl<A: Admission> Recoverable for ShardedGateway<A> {
@@ -429,21 +288,41 @@ impl<A: Admission> Recoverable for ShardedGateway<A> {
     }
 
     fn restore(snap: &GatewaySnapshot) -> Result<Self, JournalError> {
+        let routing = match (snap.sharded, snap.routing) {
+            (true, Some(routing)) => routing,
+            (true, None) => {
+                return Err(JournalError::Incompatible("sharded snapshot lacks routing"));
+            }
+            // A single-cluster image: the K = 1 gateway it decides like.
+            (false, None) if snap.shards.len() == 1 => Routing::RoundRobin,
+            (false, _) => {
+                return Err(JournalError::Incompatible(
+                    "single-cluster snapshot must hold one shard and no routing",
+                ));
+            }
+        };
+        let mut quota = snap.quota;
         if !snap.sharded {
-            return Err(JournalError::Incompatible(
-                "snapshot is not a sharded gateway image",
-            ));
+            // The single-cluster writer ignored per-shard caps; on one
+            // shard the cap would bind, so drop it to decide identically.
+            quota.max_shard_inflight = None;
         }
-        let routing = snap
-            .routing
-            .ok_or(JournalError::Incompatible("sharded snapshot lacks routing"))?;
+        let mut book = ServiceBook::from_parts(
+            DeferredQueue::from_state(snap.defer.clone()),
+            ReservationBook::from_state(snap.reservations.clone()),
+            TenantLedger::from_state(snap.ledger.clone()),
+            quota,
+            ServiceMetrics::restore(&snap.metrics),
+            snap.resolutions.clone(),
+        );
+        book.slo = snap.slo.clone();
         ShardedGateway::from_parts(
             snap.params,
             snap.algorithm,
             routing,
             snap.cursor,
             snap.shards.clone(),
-            book_from_snapshot(snap),
+            book,
         )
         .map_err(JournalError::from)
     }
@@ -584,20 +463,50 @@ mod tests {
     #[test]
     fn single_capture_restore_round_trips_exactly() {
         let params = ClusterParams::paper_baseline();
-        let mut g = Gateway::new(
+        let mut g = ShardedGateway::new(
             params,
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         g.submit(Task::new(1, 0.0, 200.0, 30_000.0), SimTime::ZERO);
         let snap = g.capture();
-        assert!(!snap.sharded);
-        let restored: Gateway = Gateway::restore(&snap).unwrap();
+        assert!(snap.sharded);
+        let restored: ShardedGateway = ShardedGateway::restore(&snap).unwrap();
         assert_eq!(restored.capture(), snap);
-        // Cross-type restores are refused.
-        assert!(ShardedGateway::<AdmissionController>::restore(&snap).is_err());
-        assert!(Gateway::<AdmissionController>::restore(&busy_sharded().capture()).is_err());
+        // The retired single-cluster shape restores as this same gateway.
+        let legacy = GatewaySnapshot {
+            sharded: false,
+            routing: None,
+            ..snap.clone()
+        };
+        let restored: ShardedGateway = ShardedGateway::restore(&legacy).unwrap();
+        assert_eq!(restored.capture(), snap);
+        // The writer ignored per-shard caps, so the restored gateway does.
+        let capped = GatewaySnapshot {
+            quota: QuotaPolicy {
+                max_shard_inflight: Some(1),
+                ..snap.quota
+            },
+            ..legacy.clone()
+        };
+        let restored: ShardedGateway = ShardedGateway::restore(&capped).unwrap();
+        assert_eq!(restored.quota().max_shard_inflight, None);
+        // Only one shard and no routing make a single-cluster image.
+        let two_shards = GatewaySnapshot {
+            sharded: false,
+            routing: None,
+            ..busy_sharded().capture()
+        };
+        assert!(ShardedGateway::<AdmissionController>::restore(&two_shards).is_err());
+        let routed = GatewaySnapshot {
+            sharded: false,
+            ..snap
+        };
+        assert!(ShardedGateway::<AdmissionController>::restore(&routed).is_err());
     }
 
     #[test]

@@ -684,3 +684,188 @@ fn group_commit_crash_still_recovers_a_valid_prefix() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+/// A WAL written by the retired single-cluster gateway (one cluster, no
+/// routing — since replaced by the one-shard [`ShardedGateway`]) through
+/// [`JournaledGateway`] with `snapshot_every: 20, compact_on_snapshot:
+/// false`. The scenario is the EDF-OPR-MN priority inversion on the
+/// 16-node baseline cluster, and the log holds:
+///
+/// * accepts, including a two-task batch;
+/// * a reservation booked at t=0 that activates at t=1000;
+/// * a hopeless task's rejection;
+/// * a defer, rescued by a re-test after early node releases;
+/// * the genesis snapshot plus two periodic ones.
+const SINGLE_CLUSTER_WAL: &[u8] = include_bytes!("fixtures/gateway_k1_v1.wal");
+
+/// The writing gateway's final books, `capture().normalized()`.
+const SINGLE_CLUSTER_BOOKS: &str = include_str!("fixtures/gateway_k1_v1.expected.json");
+
+/// The fixture's journal config: every frame stays, so the log is the
+/// writer's complete transcript.
+const TRANSCRIPT_CFG: JournalConfig = JournalConfig {
+    snapshot_every: 20,
+    compact_on_snapshot: false,
+};
+
+/// One decoded journal frame: a snapshot or an event.
+#[derive(Debug, PartialEq)]
+enum Record {
+    Snapshot(Box<GatewaySnapshot>),
+    Event(JournalEvent),
+}
+
+fn records(wal: &[u8]) -> Vec<Record> {
+    let (frames, tail) = rtdls_journal::wire::decode_frames(wal);
+    assert!(tail.is_clean(), "{tail:?}");
+    frames
+        .iter()
+        .map(|f| {
+            let payload = std::str::from_utf8(&f.payload).unwrap();
+            match f.kind {
+                rtdls_journal::wire::RecordKind::Snapshot => {
+                    Record::Snapshot(Box::new(serde_json::from_str(payload).unwrap()))
+                }
+                rtdls_journal::wire::RecordKind::Event => {
+                    Record::Event(serde_json::from_str(payload).unwrap())
+                }
+            }
+        })
+        .collect()
+}
+
+/// Feeds one input record to a journaled gateway through the call that
+/// journals it.
+fn refeed<G: Recoverable>(j: &mut JournaledGateway<G>, ev: &JournalEvent) {
+    match ev {
+        JournalEvent::Submitted { task, at } => {
+            let _ = j.submit(*task, *at);
+        }
+        JournalEvent::RequestSubmitted { request, at } => {
+            let _ = j.submit_request(request, *at);
+        }
+        JournalEvent::BatchSubmitted { tasks, at } => {
+            let _ = j.submit_batch(tasks, *at);
+        }
+        JournalEvent::ActivationDue { at } => Frontend::activate(j, *at),
+        JournalEvent::Completed { node, at } => Frontend::set_node_release(j, *node, *at),
+        JournalEvent::DispatchDue { at } => {
+            let _ = Frontend::take_due(j, *at);
+        }
+        JournalEvent::Replanned { at } => {
+            let _ = Frontend::replan(j, *at);
+        }
+        JournalEvent::Retested { at } => Frontend::on_event(j, *at),
+        JournalEvent::Finalized { at } => Frontend::finalize(j, *at),
+        JournalEvent::Drained => {
+            let _ = Frontend::drain_resolutions(j);
+        }
+        audit => panic!("not an input record: {audit:?}"),
+    }
+}
+
+/// A snapshot as the single-cluster writer would have framed it, with
+/// the wall-clock latency samples cleared.
+fn as_single_cluster(snap: &GatewaySnapshot) -> GatewaySnapshot {
+    assert!(snap.sharded);
+    assert_eq!(snap.routing, Some(Routing::RoundRobin));
+    GatewaySnapshot {
+        sharded: false,
+        routing: None,
+        ..snap.clone().normalized()
+    }
+}
+
+fn single_cluster_wal_recovers_on<A: Admission>() {
+    let expected: GatewaySnapshot = serde_json::from_str(SINGLE_CLUSTER_BOOKS).unwrap();
+    assert!(!expected.sharded);
+    let Some(Record::Event(JournalEvent::DispatchDue { at })) = records(SINGLE_CLUSTER_WAL).pop()
+    else {
+        panic!("the fixture ends on a dispatch");
+    };
+    let (recovered, report) =
+        recover::<ShardedGateway<A>>(SINGLE_CLUSTER_WAL, at, JournalConfig::default(), None)
+            .expect("a single-cluster WAL recovers as a one-shard gateway");
+    assert!(report.tail.is_clean());
+    assert!(report.demoted.is_empty(), "{:?}", report.demoted);
+    let g = recovered.inner();
+    assert_eq!(g.num_shards(), 1);
+    assert_eq!(g.routing(), Routing::RoundRobin);
+    assert_eq!(g.shard_controller(0).state(), expected.shards[0]);
+    let got = g.capture().normalized();
+    assert_eq!(got.defer, expected.defer);
+    assert_eq!(got.reservations, expected.reservations);
+    assert_eq!(got.ledger, expected.ledger);
+    assert_eq!(got.metrics, expected.metrics);
+    assert_eq!(got.resolutions, expected.resolutions);
+    assert_eq!(got.slo, expected.slo);
+    // The writer's run left its mark in the books.
+    let m = g.metrics();
+    assert_eq!(m.reservations_activated, 1);
+    assert_eq!(m.rescued, 1);
+    assert_eq!(m.rejected_immediate, 1);
+    assert_eq!(m.batch_calls, 1);
+}
+
+#[test]
+fn single_cluster_wal_fixture_recovers_with_its_books_on_both_engines() {
+    single_cluster_wal_recovers_on::<AdmissionController>();
+    single_cluster_wal_recovers_on::<IncrementalController>();
+}
+
+fn single_cluster_transcript_replays_on<A: Admission>() {
+    let old = records(SINGLE_CLUSTER_WAL);
+    let Record::Snapshot(genesis) = &old[0] else {
+        panic!("a journal opens with its genesis snapshot");
+    };
+    let fresh = ShardedGateway::<A>::with_engine(
+        genesis.params,
+        1,
+        genesis.algorithm,
+        PlanConfig::default(),
+        Routing::RoundRobin,
+        genesis.defer.policy,
+    )
+    .unwrap();
+    let mut j = JournaledGateway::new(fresh, TRANSCRIPT_CFG);
+    for record in &old {
+        if let Record::Event(ev) = record {
+            if ev.is_input() {
+                refeed(&mut j, ev);
+            }
+        }
+    }
+    let new = records(j.journal().bytes());
+    assert_eq!(new.len(), old.len(), "same frame count");
+    // The old type's verdict transcript covers every parked-task fate.
+    let audit = |pick: fn(&JournalEvent) -> bool| {
+        old.iter()
+            .filter(|r| matches!(r, Record::Event(ev) if pick(ev)))
+            .count()
+    };
+    assert_eq!(audit(|e| matches!(e, JournalEvent::Accepted { .. })), 3);
+    assert_eq!(audit(|e| matches!(e, JournalEvent::Reserved { .. })), 1);
+    assert_eq!(
+        audit(|e| matches!(e, JournalEvent::ReservationActivated { admitted: true, .. })),
+        1
+    );
+    assert_eq!(audit(|e| matches!(e, JournalEvent::Deferred { .. })), 1);
+    assert_eq!(audit(|e| matches!(e, JournalEvent::Rescued { .. })), 2);
+    assert_eq!(audit(|e| matches!(e, JournalEvent::Rejected { .. })), 1);
+    for (i, (new, old)) in new.iter().zip(&old).enumerate() {
+        match (new, old) {
+            (Record::Snapshot(new), Record::Snapshot(old)) => assert_eq!(
+                as_single_cluster(new),
+                old.as_ref().clone().normalized(),
+                "frame {i}"
+            ),
+            (new, old) => assert_eq!(new, old, "frame {i}"),
+        }
+    }
+}
+
+#[test]
+fn single_cluster_wal_fixture_transcript_replays_identically_on_both_engines() {
+    single_cluster_transcript_replays_on::<AdmissionController>();
+    single_cluster_transcript_replays_on::<IncrementalController>();
+}

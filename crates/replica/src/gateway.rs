@@ -226,13 +226,16 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn primary() -> JournaledGateway<Gateway> {
-        let gw = Gateway::new(
+    fn primary() -> JournaledGateway<ShardedGateway> {
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         JournaledGateway::new(
             gw,
             JournalConfig {
@@ -253,7 +256,7 @@ mod tests {
             msgs.iter().any(|m| matches!(m, ShipMsg::Frame { .. })),
             "{msgs:?}"
         );
-        let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         let mut last_ack = None;
         for msg in msgs {
             if let Some(ShipMsg::Ack { seq }) = follower.on_msg(SimTime::ZERO, msg).unwrap() {
@@ -267,7 +270,7 @@ mod tests {
 
     #[test]
     fn tcp_transport_replicates_into_a_follower_server() {
-        let follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+        let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
         let mut server = FollowerServer::bind("127.0.0.1:0", follower).expect("bind");
         let addr = server.local_addr().expect("addr");
         let handle = std::thread::spawn(move || {

@@ -318,13 +318,16 @@ mod tests {
     use rtdls_journal::prelude::*;
     use rtdls_service::prelude::*;
 
-    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<Gateway> {
-        let gw = Gateway::new(
+    fn journaled(snapshot_every: usize, compact: bool) -> JournaledGateway<ShardedGateway> {
+        let gw = ShardedGateway::new(
             ClusterParams::paper_baseline(),
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         JournaledGateway::new(
             gw,
             JournalConfig {

@@ -25,13 +25,16 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<Gateway> {
-    let gw = Gateway::new(
+fn primary() -> JournaledGateway<ShardedGateway> {
+    let gw = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(gw, journal_cfg())
 }
 
@@ -110,7 +113,7 @@ fn pump(schedule: &Schedule) -> RunResult {
     });
     let mut link: FaultyLink<ShipMsg> = FaultyLink::new(schedule.frame_plan());
     let mut acks: FaultyLink<ShipMsg> = FaultyLink::new(schedule.ack_plan());
-    let mut follower: Follower<Gateway> = Follower::new(FollowerConfig::default());
+    let mut follower: Follower<ShardedGateway> = Follower::new(FollowerConfig::default());
 
     let split_end = schedule.split.map(|(_, until)| until).unwrap_or(0.0);
     let settle_until = (1_200.0f64).max(split_end) + 3_000.0;
@@ -172,7 +175,7 @@ proptest! {
         // The warm standby is exactly what cold recovery of the mirror
         // would rebuild.
         if let Some(standby) = &run.standby {
-            let (cold, report) = replay::<Gateway>(&run.mirror).expect("mirror replays");
+            let (cold, report) = replay::<ShardedGateway>(&run.mirror).expect("mirror replays");
             prop_assert!(report.tail.is_clean());
             prop_assert_eq!(standby, &cold.capture().normalized());
         } else {

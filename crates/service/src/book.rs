@@ -1,18 +1,15 @@
-//! [`ServiceBook`]: the gateway-level bookkeeping shared between the
-//! single-cluster [`Gateway`] and the [`ShardedGateway`] — the defer
-//! queue, the reservation book, the tenant ledger, quota policy, metrics,
-//! and the engine-visible resolutions — plus the one copy of the v2
-//! request/verdict decision flow both gateways drive with their own
-//! engine closures. One copy, so verdicts, counters, and resolutions can
-//! never drift between the two gateways.
+//! [`ServiceBook`]: the gateway-level bookkeeping of the
+//! [`ShardedGateway`] — the defer queue, the reservation book, the tenant
+//! ledger, quota policy, metrics, and the engine-visible resolutions —
+//! plus the v2 request/verdict decision flow the gateway drives through
+//! its routed shard set.
 //!
-//! [`Gateway`]: crate::gateway::Gateway
 //! [`ShardedGateway`]: crate::shard::ShardedGateway
 
 use std::time::Instant;
 
 use rtdls_core::prelude::{
-    AlgorithmKind, ClusterParams, Decision, Infeasible, QosClass, SimTime, SubmitRequest, Task,
+    Admission, AlgorithmKind, ClusterParams, Infeasible, QosClass, SimTime, SubmitRequest, Task,
     TenantId,
 };
 use rtdls_telemetry::{Profiler, Stage, Telemetry};
@@ -22,14 +19,15 @@ use crate::metrics::ServiceMetrics;
 use crate::observe::DecisionUpdate;
 use crate::request::{QuotaPolicy, Verdict};
 use crate::reserve::{ActivationRecord, ReservationBook};
+use crate::shard::RoutedShards;
 use crate::slo::{SloBreach, SloObjective, SloTracker, SLO_BREACH_VERSION};
 use crate::tenant::TenantLedger;
 
 /// Recently decided task ids retained per tenant for breach forensics.
 const RECENT_TASKS_PER_TENANT: usize = 8;
 
-/// The shared serving-layer state both gateways embed: everything a
-/// journal snapshots besides the admission engines themselves.
+/// The gateway's serving-layer state: everything a journal snapshots
+/// besides the admission engines themselves.
 #[derive(Clone, Debug)]
 pub struct ServiceBook {
     /// Parked near-miss tickets.
@@ -420,55 +418,23 @@ pub(crate) fn defer_or_reject(
     Verdict::rejected(cause)
 }
 
-/// The engine-side operations the shared decision flow needs — one
-/// adapter per gateway shape (a bare engine for [`Gateway`], the routed
-/// shard set for [`ShardedGateway`]).
-///
-/// [`Gateway`]: crate::gateway::Gateway
-/// [`ShardedGateway`]: crate::shard::ShardedGateway
-pub(crate) trait EngineOps {
-    /// The mutating admission test. Also reports which shard the task was
-    /// routed to, when the adapter routes at all (`None` for the
-    /// single-cluster gateway) — the decision-tracing `Route` span input.
-    fn submit(&mut self, task: &Task, now: SimTime) -> (Decision, Option<u32>);
-    /// The reservation search (non-mutating on the engine).
-    fn earliest_feasible_start(&self, task: &Task, now: SimTime) -> Option<SimTime>;
-    /// `true` when per-shard quota caps leave this request no shard to
-    /// route to (the sharded adapter under `QuotaPolicy::max_shard_inflight`;
-    /// single-engine adapters never throttle here).
-    fn all_routes_throttled(&self) -> bool {
-        false
-    }
-    /// The admission explanation for a request this engine refuses
-    /// (non-mutating; `None` when the request is feasible as-is or the
-    /// adapter does not support explanations).
-    fn explain(
-        &self,
-        request: &SubmitRequest,
-        now: SimTime,
-    ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-        let _ = (request, now);
-        None
-    }
-}
-
-/// The v2 decision flow, shared by both gateways via their [`EngineOps`]
-/// adapter: the core verdict ([`decide_request_inner`]) plus the
-/// observability wrap-up — refusal explanations (when enabled), the
-/// forensics recent-task ring, and the acceptance/attainment SLO feeds.
+/// The v2 decision flow over the routed shard set: the core verdict
+/// ([`decide_request_inner`]) plus the observability wrap-up — refusal
+/// explanations (when enabled), the forensics recent-task ring, and the
+/// acceptance/attainment SLO feeds.
 ///
 /// SLO bookkeeping: Accepted and Reserved count as acceptance-good at
 /// decision time (Accepted also attains immediately; a reservation's
 /// attainment is judged at activation). Rejected and Throttled count as
 /// acceptance-bad. Deferred counts nothing yet — its fate lands in
 /// [`apply_departures`] when the ticket resolves.
-pub(crate) fn decide_request(
+pub(crate) fn decide_request<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) -> Verdict {
     let mut verdict = decide_request_inner(book, widest_params, algorithm, request, now, engine);
     book.note_recent(request.tenant, request.task.id.0);
@@ -524,13 +490,13 @@ pub(crate) fn decide_request(
 /// Order of business: quota gate → admission test → reservation search →
 /// defer-or-reject. The caller books the submission count and latency
 /// afterwards via [`record_request`].
-fn decide_request_inner(
+fn decide_request_inner<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     request: &SubmitRequest,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) -> Verdict {
     let tenant = request.tenant;
     // Count the tenant's liabilities only when a cap could actually bind:
@@ -575,18 +541,23 @@ fn decide_request_inner(
     let trace = request.trace;
     let plan_timer = book.telemetry.timer();
     let plan_phase = book.profiler.start();
-    let (decision, shard) = engine.submit(&request.task, now);
+    let routed = engine.submit(&request.task, now);
     book.profiler.stop("gateway/plan", plan_phase);
-    if let Some(s) = shard {
-        book.telemetry
-            .record(trace, Stage::Route, Some(s), task_id, "routed", now, None);
-    }
-    match decision {
-        Decision::Accepted => {
+    match routed {
+        Ok(shard) => {
+            book.telemetry.record(
+                trace,
+                Stage::Route,
+                Some(shard),
+                task_id,
+                "routed",
+                now,
+                None,
+            );
             book.telemetry.record(
                 trace,
                 Stage::Plan,
-                shard,
+                Some(shard),
                 task_id,
                 "Accepted",
                 now,
@@ -596,12 +567,12 @@ fn decide_request_inner(
             book_accept(book, request.task.id, tenant);
             Verdict::Accepted
         }
-        Decision::Rejected(cause) => {
+        Err(cause) => {
             if book.telemetry.is_enabled() {
                 book.telemetry.record(
                     trace,
                     Stage::Plan,
-                    shard,
+                    None,
                     task_id,
                     &format!("{cause:?}"),
                     now,
@@ -629,7 +600,7 @@ fn decide_request_inner(
                             book.telemetry.record(
                                 trace,
                                 Stage::Reserve,
-                                shard,
+                                None,
                                 task_id,
                                 "Reserved",
                                 now,
@@ -655,7 +626,7 @@ fn decide_request_inner(
                 book.telemetry.record(
                     trace,
                     Stage::DeferPark,
-                    shard,
+                    None,
                     task_id,
                     "Deferred",
                     now,
@@ -671,19 +642,19 @@ fn decide_request_inner(
 /// Activates every reservation whose `start_at` has been reached: the real
 /// admission test re-runs at `now`; a pass admits the task with the full
 /// deadline guarantee, a miss falls back to the defer-or-reject protocol.
-/// Shared by both gateways via their engine `submit` closure.
-pub(crate) fn activate_due(
+pub(crate) fn activate_due<A: Admission>(
     book: &mut ServiceBook,
     widest_params: &ClusterParams,
     algorithm: AlgorithmKind,
     now: SimTime,
-    engine: &mut impl EngineOps,
+    engine: &mut RoutedShards<'_, A>,
 ) {
     for res in book.reservations.take_due(now) {
         let trace = book.telemetry.trace_of(res.task.id.0).unwrap_or(0);
         let activate_timer = book.telemetry.timer();
-        let (decision, shard) = engine.submit(&res.task, now);
-        let admitted = decision.is_accepted();
+        let routed = engine.submit(&res.task, now);
+        let shard = routed.ok();
+        let admitted = shard.is_some();
         if admitted {
             // The initial reserved submit never routed (the engine punted to
             // the reservation book), so a reserved flow's routing decision
@@ -729,46 +700,45 @@ pub(crate) fn activate_due(
             admitted,
             now,
         );
-        if admitted {
-            book.ledger.insert(res.task.id, res.tenant);
-            book.metrics.reservations_activated += 1;
-            book.metrics.tenants.counters_mut(res.tenant).accepted += 1;
-            book.resolutions.push((res.task, None));
-        } else {
-            let cause = match decision {
-                Decision::Rejected(cause) => cause,
-                Decision::Accepted => unreachable!("admitted handled above"),
-            };
-            book.metrics.reservation_misses += 1;
-            let verdict = defer_or_reject(
-                book,
-                widest_params,
-                algorithm,
-                res.task,
-                res.tenant,
-                res.qos,
-                now,
-                cause,
-            );
-            if let Verdict::Rejected { cause, .. } = verdict {
-                // The miss resolved terminally right here; deferred misses
-                // resolve later through the sweep like any other ticket.
-                book.resolutions.push((res.task, Some(cause)));
-                book.telemetry.record(
-                    trace,
-                    Stage::Resolve,
-                    None,
-                    res.task.id.0,
-                    "Rejected",
+        match routed {
+            Ok(_) => {
+                book.ledger.insert(res.task.id, res.tenant);
+                book.metrics.reservations_activated += 1;
+                book.metrics.tenants.counters_mut(res.tenant).accepted += 1;
+                book.resolutions.push((res.task, None));
+            }
+            Err(cause) => {
+                book.metrics.reservation_misses += 1;
+                let verdict = defer_or_reject(
+                    book,
+                    widest_params,
+                    algorithm,
+                    res.task,
+                    res.tenant,
+                    res.qos,
                     now,
-                    None,
+                    cause,
                 );
-                book.push_update(DecisionUpdate::Resolved {
-                    task: res.task.id.0,
-                    ticket: None,
-                    admitted: false,
-                    cause: Some(cause),
-                });
+                if let Verdict::Rejected { cause, .. } = verdict {
+                    // The miss resolved terminally right here; deferred misses
+                    // resolve later through the sweep like any other ticket.
+                    book.resolutions.push((res.task, Some(cause)));
+                    book.telemetry.record(
+                        trace,
+                        Stage::Resolve,
+                        None,
+                        res.task.id.0,
+                        "Rejected",
+                        now,
+                        None,
+                    );
+                    book.push_update(DecisionUpdate::Resolved {
+                        task: res.task.id.0,
+                        ticket: None,
+                        admitted: false,
+                        cause: Some(cause),
+                    });
+                }
             }
         }
     }
@@ -817,7 +787,7 @@ pub(crate) fn flush_all(book: &mut ServiceBook) {
 /// the very next re-test sweep can rescue it.
 ///
 /// Returns the demoted tasks in demotion order.
-pub(crate) fn reverify_controller<A: rtdls_core::prelude::Admission>(
+pub(crate) fn reverify_controller<A: Admission>(
     ctl: &mut A,
     book: &mut ServiceBook,
     widest_params: &ClusterParams,

@@ -6,9 +6,9 @@
 //!
 //! The paper evaluates its Fig. 2 schedulability test offline — a pre-built
 //! task list fed to one [`AdmissionController`]. A production front door
-//! needs more:
+//! needs more, and [`ShardedGateway`] — the one gateway type — provides it:
 //!
-//! * **Request/verdict protocol** ([`Gateway::submit_request`]): a
+//! * **Request/verdict protocol** ([`ShardedGateway::submit_request`]): a
 //!   [`SubmitRequest`] envelope (task + tenant + QoS class + reservation
 //!   tolerance) is answered with a five-way [`Verdict`]:
 //!   `Accepted / Reserved{start_at, ticket} / Deferred(ticket) /
@@ -23,17 +23,17 @@
 //! * **Tenant awareness**: per-tenant quotas
 //!   ([`QuotaPolicy`](request::QuotaPolicy)) enforced before the test,
 //!   and tenant-keyed counters/latency histograms in [`ServiceMetrics`].
-//! * **Sharded dispatch** ([`ShardedGateway`]): a large cluster is
-//!   partitioned into `K` independent shards, each with its own admission
-//!   controller, behind pluggable [`Routing`] (round-robin, least-loaded,
-//!   best-fit by earliest estimated completion) — admission cost stays
-//!   sub-linear in cluster size.
+//! * **Sharded dispatch**: the cluster is partitioned into `K ≥ 1`
+//!   independent shards, each with its own admission controller, behind
+//!   pluggable [`Routing`] (round-robin, least-loaded, best-fit by
+//!   earliest estimated completion) — admission cost stays sub-linear in
+//!   cluster size. `K = 1` is exactly the paper's single-cluster model.
 //! * **Batched submission** (`submit_batch`): a burst is decided through
 //!   one amortized temp-schedule pass instead of one full test per task.
 //! * **Observability** ([`ServiceMetrics`]): throughput, defer-rescue
 //!   rate, and per-decision latency histograms.
 //!
-//! Both gateways implement the simulator's
+//! The gateway implements the simulator's
 //! [`Frontend`](rtdls_sim::frontend::Frontend) trait, so a discrete-event
 //! run can route every arrival through the service layer and verify, at
 //! run time, that every admitted task (including rescued ones) meets its
@@ -67,8 +67,7 @@
 //! ```
 //!
 //! [`AdmissionController`]: rtdls_core::admission::AdmissionController
-//! [`Gateway`]: gateway::Gateway
-//! [`Gateway::submit_request`]: gateway::Gateway::submit_request
+//! [`ShardedGateway::submit_request`]: shard::ShardedGateway::submit_request
 //! [`SubmitRequest`]: rtdls_core::request::SubmitRequest
 //! [`Verdict`]: request::Verdict
 //! [`ShardedGateway`]: shard::ShardedGateway
@@ -81,7 +80,6 @@
 
 pub mod book;
 pub mod defer;
-pub mod gateway;
 pub mod metrics;
 pub mod observe;
 pub mod request;
@@ -97,7 +95,6 @@ pub mod prelude {
     pub use crate::defer::{
         latest_feasible_start, DeferOutcome, DeferPolicy, DeferState, DeferTicket, DeferredQueue,
     };
-    pub use crate::gateway::Gateway;
     pub use crate::metrics::{
         LatencyHistogram, MetricsSnapshot, ServiceMetrics, TenantCounters, TenantMetrics,
     };
@@ -114,10 +111,10 @@ pub mod prelude {
 
     /// The legacy v1 verdict. Kept so pre-redesign call sites compile;
     /// new code should consume [`Verdict`] from
-    /// [`Gateway::submit_request`](crate::gateway::Gateway::submit_request).
+    /// [`ShardedGateway::submit_request`](crate::shard::ShardedGateway::submit_request).
     #[deprecated(
         since = "0.5.0",
         note = "v1 verdict — use `submit_request` and consume `Verdict` instead"
     )]
-    pub use crate::gateway::GatewayDecision;
+    pub use crate::request::GatewayDecision;
 }

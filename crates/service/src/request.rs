@@ -22,8 +22,6 @@ use serde::{Deserialize, Serialize};
 
 use rtdls_core::prelude::{AdmissionExplanation, Infeasible, QosClass, SimTime, SubmitRequest};
 
-use crate::gateway::GatewayDecision;
-
 /// The gateway's v2 admission verdict.
 ///
 /// Serialization is hand-written (the derive stand-in does not cover the
@@ -194,6 +192,34 @@ impl Deserialize for Verdict {
     }
 }
 
+/// The gateway's legacy three-way admission verdict (v1).
+///
+/// New code should drive `submit_request` and consume [`Verdict`], which
+/// adds the `Reserved` and `Throttled` outcomes; this enum remains as the
+/// bridge target (`Verdict → GatewayDecision`) so v1 call sites keep
+/// compiling. A reservation surfaces here as `Deferred`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum GatewayDecision {
+    /// Admitted now; the deadline guarantee holds.
+    Accepted,
+    /// Parked (defer queue or reservation book) under the given ticket id.
+    Deferred(u64),
+    /// Rejected for good.
+    Rejected(Infeasible),
+}
+
+impl GatewayDecision {
+    /// `true` for [`GatewayDecision::Accepted`].
+    pub fn is_accepted(&self) -> bool {
+        matches!(self, GatewayDecision::Accepted)
+    }
+
+    /// `true` for [`GatewayDecision::Deferred`].
+    pub fn is_deferred(&self) -> bool {
+        matches!(self, GatewayDecision::Deferred(_))
+    }
+}
+
 impl From<Verdict> for GatewayDecision {
     /// The v2 → v1 bridge. A reservation surfaces as a deferral (the
     /// closest legacy notion of "parked, admitted later"); a quota
@@ -234,8 +260,8 @@ pub struct QuotaPolicy {
     /// admitted-but-undispatched work spreads across shards, so no shard
     /// failure or backlog spike lands on one tenant disproportionately).
     /// When *every* shard is at the cap the request is throttled before
-    /// the admission test, like the other limits. Single-cluster gateways
-    /// ignore it.
+    /// the admission test, like the other limits. With one shard it caps
+    /// the tenant's waiting tasks on the whole cluster.
     pub max_shard_inflight: Option<u32>,
     /// Whether [`QosClass::Premium`] submissions bypass both limits.
     pub exempt_premium: bool,

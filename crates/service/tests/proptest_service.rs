@@ -284,20 +284,26 @@ proptest! {
         };
         let burst: Vec<Task> = (0..n_tasks as u64).map(mk).collect();
 
-        let mut batched = Gateway::new(
+        let mut batched = ShardedGateway::new(
             params,
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         batched.submit_batch(&burst, SimTime::ZERO);
 
-        let mut sequential = Gateway::new(
+        let mut sequential = ShardedGateway::new(
             params,
+            1,
             AlgorithmKind::EDF_DLT,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         let mut ordered = burst.clone();
         ordered.sort_by(|a, b| {
             a.absolute_deadline()
@@ -308,8 +314,8 @@ proptest! {
             sequential.submit(*t, SimTime::ZERO);
         }
 
-        let queue_ids = |g: &Gateway| -> Vec<u64> {
-            g.controller().queue().iter().map(|(t, _)| t.id.0).collect()
+        let queue_ids = |g: &ShardedGateway| -> Vec<u64> {
+            g.shard_controller(0).queue().iter().map(|(t, _)| t.id.0).collect()
         };
         prop_assert_eq!(queue_ids(&batched), queue_ids(&sequential));
         prop_assert_eq!(
@@ -344,24 +350,30 @@ proptest! {
         spec.horizon = 40.0 * spec.mean_interarrival();
         let tasks: Vec<Task> = WorkloadGenerator::new(spec, seed).collect();
         prop_assume!(!tasks.is_empty());
-        let mut full = Gateway::new(
+        let mut full = ShardedGateway::new(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
-        let mut inc = Gateway::<IncrementalController>::with_engine(
+        )
+        .unwrap();
+        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         for t in &tasks {
             let now = t.arrival;
             // Advance the world: dispatch everything due by now.
             Frontend::take_due(&mut full, now);
             Frontend::take_due(&mut inc, now);
-            let before = full.controller().clone();
+            let before = full.shard_controller(0).clone();
             let req = SubmitRequest::new(*t).with_max_delay(Some(t.rel_deadline * 10.0));
             let verdict = full.submit_request(&req, now);
             let verdict_inc = inc.submit_request(&req, now);
@@ -425,18 +437,24 @@ proptest! {
         // (post-dispatch feasibility) but not fit around the waiting task.
         prop_assume!(homogeneous::exec_time(&params, sigma_c, 16) < slack_c * 0.8);
         let algorithm = AlgorithmKind::EDF_OPR_MN;
-        let mut full = Gateway::new(
+        let mut full = ShardedGateway::new(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
-        let mut inc = Gateway::<IncrementalController>::with_engine(
+        )
+        .unwrap();
+        let mut inc = ShardedGateway::<IncrementalController>::with_engine(
             params,
+            1,
             algorithm,
             PlanConfig::default(),
+            Routing::RoundRobin,
             DeferPolicy::default(),
-        );
+        )
+        .unwrap();
         for node in 0..16 {
             Frontend::set_node_release(&mut full, node, SimTime::new(avail));
             Frontend::set_node_release(&mut inc, node, SimTime::new(avail));
@@ -446,7 +464,7 @@ proptest! {
         prop_assert!(inc.submit(w, SimTime::ZERO).is_accepted());
         let c = Task::new(2, 0.0, sigma_c, avail + e16 + slack_c);
         let req = SubmitRequest::new(c).with_max_delay(Some(avail * 2.0));
-        let before = full.controller().clone();
+        let before = full.shard_controller(0).clone();
         let verdict = full.submit_request(&req, SimTime::ZERO);
         prop_assert_eq!(verdict, inc.submit_request(&req, SimTime::ZERO));
         let Verdict::Reserved { start_at, .. } = verdict else {

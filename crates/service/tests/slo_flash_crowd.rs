@@ -52,12 +52,15 @@ fn flash_crowd_walks_the_burn_alarm_to_breach_and_back() {
         tasks.len()
     );
 
-    let mut gateway = Gateway::new(
+    let mut gateway = ShardedGateway::new(
         params,
+        1,
         algorithm,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     gateway.set_slo(SloTracker::new(scaled_policy(scale)));
 
     let mix = TenantMix::uniform(1);
@@ -139,12 +142,15 @@ fn calm_traffic_never_breaches() {
     spec.horizon = 600.0 * scale;
     let tasks: Vec<Task> = WorkloadGenerator::new(spec, 77).collect();
 
-    let mut gateway = Gateway::new(
+    let mut gateway = ShardedGateway::new(
         params,
+        1,
         algorithm,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     gateway.set_slo(SloTracker::new(scaled_policy(scale)));
     let cfg = SimConfig::new(params, algorithm).with_tenants(TenantMix::uniform(1));
     let (_report, mut gateway) =

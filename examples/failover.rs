@@ -31,19 +31,22 @@ fn journal_cfg() -> JournalConfig {
     }
 }
 
-fn primary() -> JournaledGateway<Gateway> {
-    let gateway = Gateway::new(
+fn primary() -> JournaledGateway<ShardedGateway> {
+    let gateway = ShardedGateway::new(
         ClusterParams::paper_baseline(),
+        1,
         AlgorithmKind::EDF_DLT,
         PlanConfig::default(),
+        Routing::RoundRobin,
         DeferPolicy::default(),
-    );
+    )
+    .unwrap();
     JournaledGateway::new(gateway, journal_cfg())
 }
 
 fn main() {
     // The warm standby: promotes after 0.3s of wall-clock silence.
-    let follower: Follower<Gateway> = Follower::new(FollowerConfig { promote_after: 0.3 });
+    let follower: Follower<ShardedGateway> = Follower::new(FollowerConfig { promote_after: 0.3 });
     let mut standby = FollowerServer::bind("127.0.0.1:0", follower).expect("bind standby");
     let addr = standby.local_addr().expect("standby addr");
     println!("standby listening on {addr}");
@@ -121,7 +124,7 @@ fn main() {
     // Guarantee 2: promotion is recovery. An independent cold replay of the
     // mirror plus the same strict re-admission pass must land on the same
     // state and the same demotion set.
-    let (mut reference, report) = replay::<Gateway>(&mirror).expect("mirror replays");
+    let (mut reference, report) = replay::<ShardedGateway>(&mirror).expect("mirror replays");
     assert!(
         report.tail.is_clean(),
         "mirror tail is clean: {:?}",
