@@ -263,6 +263,23 @@ fn bench_multi_reactor(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 8-node controller (a shard of the 64-node benchmark cluster)
+/// holding 32 waiting tasks, and a refused candidate whose EDF slot is
+/// mid-queue: the book a refusal on a loaded gateway is explained against.
+/// The empty-queue `explain_probe` cannot see how much of the queue each
+/// probe replans; this one can.
+fn deep_explain_book() -> (AdmissionController, SubmitRequest) {
+    let params = ClusterParams::new(8, 1.0, 100.0).unwrap();
+    let mut ctl = AdmissionController::new(params, AlgorithmKind::EDF_DLT, PlanConfig::default());
+    for i in 0..32u64 {
+        let task = Task::new(i + 1, 0.0, 20.0, 600.0 + 400.0 * i as f64);
+        assert!(ctl.submit(task, SimTime::ZERO).is_accepted());
+    }
+    let candidate = Task::new(100, 0.0, 2_000.0, 600.0 + 400.0 * 15.5);
+    assert!(!ctl.probe(&candidate, SimTime::ZERO).is_accepted());
+    (ctl, SubmitRequest::new(candidate))
+}
+
 fn bench_explain_slo(c: &mut Criterion) {
     // What admission explainability costs: the counterfactual search
     // (doubling + bisection over the schedulability test) on a busy book —
@@ -277,6 +294,10 @@ fn bench_explain_slo(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
     group.bench_function("explain_probe", |b| {
         b.iter(|| black_box(ctl.explain(black_box(&hopeless), SimTime::ZERO)))
+    });
+    let (deep, refused) = deep_explain_book();
+    group.bench_function("explain_probe_deep", |b| {
+        b.iter(|| black_box(deep.explain(black_box(&refused), SimTime::ZERO)))
     });
 
     // What SLO burn-rate tracking costs at the wire: the same loopback
@@ -359,6 +380,9 @@ struct Baseline {
     /// worst case an `Ops::Explain` probe or rejected-verdict annotation
     /// pays).
     explain_probes_per_sec: f64,
+    /// The same search against a 32-deep waiting queue, the refused
+    /// candidate slotted mid-queue in EDF order ([`deep_explain_book`]).
+    explain_probes_per_sec_deep: f64,
     loopback_requests_per_sec_slo: f64,
     /// Relative cost of serving with the SLO tracker folding every
     /// decision vs. the bare path (`1 - on/off`; negative = in the noise).
@@ -450,6 +474,13 @@ fn emit_baseline(_c: &mut Criterion) {
             black_box(ctl.explain(black_box(&hopeless), SimTime::ZERO));
         }
     });
+    let (deep, refused) = deep_explain_book();
+    let n_explain_deep = 200;
+    let explain_deep = median_secs(|| {
+        for _ in 0..n_explain_deep {
+            black_box(deep.explain(black_box(&refused), SimTime::ZERO));
+        }
+    });
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 128;
     let cluster_total = (CLIENTS * PER_CLIENT) as f64;
@@ -472,6 +503,7 @@ fn emit_baseline(_c: &mut Criterion) {
         loopback_requests_per_sec_history: batch.len() as f64 / with_observability,
         history_overhead,
         explain_probes_per_sec: n_explain as f64 / explain,
+        explain_probes_per_sec_deep: n_explain_deep as f64 / explain_deep,
         loopback_requests_per_sec_slo: batch.len() as f64 / with_slo,
         slo_overhead,
         loopback_requests_per_sec_multi1: multi1,

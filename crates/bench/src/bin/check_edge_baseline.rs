@@ -10,7 +10,10 @@
 //! decision tracing must cost ≤ 5% of edge throughput), when the full
 //! observability plane (tracing + metrics-history sampling + profiler)
 //! exceeds its own `max_history_overhead` ceiling — the "always-on"
-//! claim — when the
+//! claim — when SLO folding exceeds `max_slo_overhead`, when the
+//! counterfactual search runs under its rate floors
+//! (`min_explain_probes_per_sec` on an empty queue,
+//! `min_explain_probes_per_sec_deep` on a 32-deep one), when the
 //! multi-reactor speedup — the 4-reactor cluster vs. the 1-reactor
 //! reference, same offered load, same process — falls below the committed
 //! floor (sharding must never lose to the single reactor), or when the
@@ -23,7 +26,9 @@
 //! process, same scenario, only the telemetry handle differs); it is often
 //! negative, meaning the two runs are within loopback noise. Absolute
 //! requests-per-second numbers from the committed run are reported for
-//! context only; they are machine-specific and never gate.
+//! context only; they are machine-specific and never gate. The explain
+//! rate floors are absolute, set at about half the rate measured on the
+//! reference machine.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,6 +42,7 @@ struct Measured {
     loopback_requests_per_sec_history: f64,
     history_overhead: f64,
     explain_probes_per_sec: f64,
+    explain_probes_per_sec_deep: f64,
     loopback_requests_per_sec_slo: f64,
     slo_overhead: f64,
     loopback_requests_per_sec_multi1: f64,
@@ -55,6 +61,7 @@ struct Committed {
     loopback_requests_per_sec_history: f64,
     history_overhead: f64,
     explain_probes_per_sec: f64,
+    explain_probes_per_sec_deep: f64,
     loopback_requests_per_sec_slo: f64,
     slo_overhead: f64,
     loopback_requests_per_sec_multi1: f64,
@@ -73,6 +80,10 @@ struct Committed {
     /// explain path must stay interactive (an `Ops::Explain` probe is a
     /// synchronous wire round-trip).
     min_explain_probes_per_sec: f64,
+    /// Floor on counterfactual searches per second against a 32-deep
+    /// waiting queue (the candidate slotted mid-queue): a refusal on a
+    /// loaded gateway is explained inline, before its verdict is sent.
+    min_explain_probes_per_sec_deep: f64,
     /// Floor on `multi_speedup` (4-reactor vs. 1-reactor cluster, same
     /// offered load, same process): the sharded edge must never lose to
     /// the single reactor.
@@ -114,14 +125,16 @@ fn main() {
     );
 
     println!(
-        "committed: {:.0} rps slo ({:+.1}% overhead), {:.0} explains/s\n\
-         measured:  {:.0} rps slo ({:+.1}% overhead), {:.0} explains/s",
+        "committed: {:.0} rps slo ({:+.1}% overhead), {:.0} explains/s, {:.0} deep explains/s\n\
+         measured:  {:.0} rps slo ({:+.1}% overhead), {:.0} explains/s, {:.0} deep explains/s",
         committed.loopback_requests_per_sec_slo,
         committed.slo_overhead * 100.0,
         committed.explain_probes_per_sec,
+        committed.explain_probes_per_sec_deep,
         measured.loopback_requests_per_sec_slo,
         measured.slo_overhead * 100.0,
         measured.explain_probes_per_sec,
+        measured.explain_probes_per_sec_deep,
     );
 
     println!(
@@ -166,6 +179,13 @@ fn main() {
         eprintln!(
             "FAIL: {:.0} explain probes/s under the {:.0}/s floor",
             measured.explain_probes_per_sec, committed.min_explain_probes_per_sec,
+        );
+        failed = true;
+    }
+    if measured.explain_probes_per_sec_deep < committed.min_explain_probes_per_sec_deep {
+        eprintln!(
+            "FAIL: {:.0} deep-queue explain probes/s under the {:.0}/s floor",
+            measured.explain_probes_per_sec_deep, committed.min_explain_probes_per_sec_deep,
         );
         failed = true;
     }

@@ -529,7 +529,7 @@ impl IncrementalController {
         if self.pass(now, Some(task), &mut scratch).is_ok() {
             return Some(now);
         }
-        super::earliest_feasible_start_search(
+        super::earliest_feasible_start_after(
             &self.params,
             self.algorithm,
             &self.cfg,

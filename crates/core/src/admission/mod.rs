@@ -130,25 +130,40 @@ pub fn schedulability_test(
     let mut releases = committed_releases.to_vec();
     let mut plans = Vec::with_capacity(tasks.len());
     for task in &tasks {
-        let avail = NodeAvailability::new(&releases, now);
-        let plan = plan_task(algorithm.strategy, task, &avail, params, cfg).map_err(|reason| {
-            AdmissionFailure {
-                task: task.id,
-                reason,
-            }
-        })?;
-        debug_assert!(
-            !plan
-                .est_completion
-                .definitely_after(task.absolute_deadline()),
-            "strategy returned a plan missing its deadline"
-        );
-        for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
-            releases[node.index()] = rel;
-        }
+        let plan =
+            plan_step(params, algorithm, cfg, now, &mut releases, task).map_err(|reason| {
+                AdmissionFailure {
+                    task: task.id,
+                    reason,
+                }
+            })?;
         plans.push(plan);
     }
     Ok(plans)
+}
+
+/// One step of the Fig. 2 loop: plans `task` against the release vector at
+/// `now` and commits the plan's release estimates into `releases`.
+fn plan_step(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    releases: &mut [SimTime],
+    task: &Task,
+) -> Result<TaskPlan, Infeasible> {
+    let avail = NodeAvailability::new(releases, now);
+    let plan = plan_task(algorithm.strategy, task, &avail, params, cfg)?;
+    debug_assert!(
+        !plan
+            .est_completion
+            .definitely_after(task.absolute_deadline()),
+        "strategy returned a plan missing its deadline"
+    );
+    for (node, &rel) in plan.nodes.iter().zip(&plan.node_release_estimates) {
+        releases[node.index()] = rel;
+    }
+    Ok(plan)
 }
 
 /// Release-vector-driven search for the earliest instant `t ≥ now` at
@@ -198,9 +213,25 @@ pub fn earliest_feasible_start_search(
     {
         return Some(now);
     }
-    // Future instants: the activation protocol is "dispatches at `t`
-    // commit first, then the task is submitted", so each candidate instant
-    // is tested against the post-dispatch book.
+    earliest_feasible_start_after(params, algorithm, cfg, now, committed_releases, queue, task)
+}
+
+/// The future-instant half of [`earliest_feasible_start_search`]: the
+/// earliest dispatch instant `t > now` at which `task` passes, for callers
+/// that already know it fails at `now` (an engine's own probe, or the
+/// cause test of an explanation).
+pub(crate) fn earliest_feasible_start_after(
+    params: &ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &PlanConfig,
+    now: SimTime,
+    committed_releases: &[SimTime],
+    queue: &[(Task, TaskPlan)],
+    task: &Task,
+) -> Option<SimTime> {
+    // The activation protocol is "dispatches at `t` commit first, then the
+    // task is submitted", so each candidate instant is tested against the
+    // post-dispatch book.
     let mut instants: Vec<SimTime> = queue
         .iter()
         .map(|(_, plan)| plan.first_start())
@@ -287,17 +318,281 @@ impl AdmissionExplanation {
 /// renegotiated request even marginally looser is also feasible.
 const EXPLAIN_TOL: f64 = 1e-9;
 
-/// Explains why `task` fails the Fig. 2 test at `now` against the given
-/// book; `None` when it is in fact feasible as-is.
+/// The candidate-independent part of the Fig. 2 test for one book at one
+/// instant: the waiting queue sorted once in policy order, and the release
+/// vector before each position, up to the first waiting task that fails on
+/// its own.
 ///
-/// The counterfactual deadline search seeds its upper probe at the
-/// analytic full-cluster slack floor ([`crate::nmin::min_feasible_slack`])
-/// measured from the latest committed release, doubles until feasible, and
-/// bisects down keeping the infeasible/feasible bracket; the reported value
-/// is the bracket's feasible end. The σ search bisects between a near-zero
-/// size and the rejected size the same way. Every probe is the real
-/// [`schedulability_test`], so suggestions hold against the exact waiting
-/// queue and release vector the rejection saw.
+/// The test sorts the waiting queue plus the candidate stably with the
+/// candidate pushed last, so the candidate lands after every waiting task
+/// whose key is `<=` its own, and every task before it is planned exactly
+/// as without it. A probe therefore starts from the cached release vector
+/// at the candidate's slot and plans only the candidate and the tasks after
+/// it — the same arithmetic on the same inputs, hence the same outcome as
+/// a from-scratch [`schedulability_test`].
+#[derive(Debug)]
+struct ProbeBook<'a> {
+    params: &'a ClusterParams,
+    algorithm: AlgorithmKind,
+    cfg: &'a PlanConfig,
+    now: SimTime,
+    /// The waiting queue in policy order.
+    order: Vec<Task>,
+    /// Row `i` (`nodes` entries) is the release vector before `order[i]`
+    /// is planned; the last row follows the last task planned.
+    rows: Vec<SimTime>,
+    nodes: usize,
+    /// The first waiting task that fails on its own: position and reason.
+    failure: Option<(usize, Infeasible)>,
+}
+
+impl<'a> ProbeBook<'a> {
+    fn new(
+        params: &'a ClusterParams,
+        algorithm: AlgorithmKind,
+        cfg: &'a PlanConfig,
+        now: SimTime,
+        committed_releases: &[SimTime],
+        queue: &[(Task, TaskPlan)],
+    ) -> Self {
+        debug_assert_eq!(committed_releases.len(), params.num_nodes);
+        let mut order: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
+        algorithm.policy.sort(&mut order);
+        let nodes = committed_releases.len();
+        let mut rows = Vec::with_capacity((order.len() + 1) * nodes);
+        rows.extend_from_slice(committed_releases);
+        let mut failure = None;
+        for (i, task) in order.iter().enumerate() {
+            rows.extend_from_within(i * nodes..(i + 1) * nodes);
+            let next = &mut rows[(i + 1) * nodes..];
+            if let Err(reason) = plan_step(params, algorithm, cfg, now, next, task) {
+                rows.truncate((i + 1) * nodes);
+                failure = Some((i, reason));
+                break;
+            }
+        }
+        ProbeBook {
+            params,
+            algorithm,
+            cfg,
+            now,
+            order,
+            rows,
+            nodes,
+            failure,
+        }
+    }
+
+    /// The Fig. 2 test for the book plus `candidate`: `Err` carries the
+    /// reason of the first task in policy order that fails.
+    fn probe(&self, candidate: &Task) -> Result<(), Infeasible> {
+        let policy = self.algorithm.policy;
+        let key = policy.key(candidate);
+        let slot = self.order.partition_point(|w| policy.key(w) <= key);
+        if let Some((at, reason)) = self.failure {
+            if at < slot {
+                return Err(reason);
+            }
+        }
+        let mut releases = self.rows[slot * self.nodes..(slot + 1) * self.nodes].to_vec();
+        for task in std::iter::once(candidate).chain(&self.order[slot..]) {
+            plan_step(
+                self.params,
+                self.algorithm,
+                self.cfg,
+                self.now,
+                &mut releases,
+                task,
+            )?;
+        }
+        Ok(())
+    }
+}
+
+/// An explanation in progress, split in two stages so a caller choosing
+/// among several books pays the second stage once.
+///
+/// * [`deadline_stage`](ExplainSearch::deadline_stage) runs the cause test
+///   and the counterfactual-deadline search;
+/// * [`finish`](ExplainSearch::finish) runs the σ bisection and the
+///   earliest-start search.
+///
+/// Both stages probe through one cached prefix of the book (the waiting
+/// queue in policy order and the release vector before each position), so
+/// a probe plans only the candidate and the tasks after its slot.
+/// `ShardedGateway` runs the deadline stage on every shard, picks the shard
+/// with the smallest feasible deadline, and finishes that shard only.
+#[derive(Debug)]
+pub struct ExplainSearch<'a> {
+    book: ProbeBook<'a>,
+    committed_releases: &'a [SimTime],
+    queue: &'a [(Task, TaskPlan)],
+    task: Task,
+    cause: Infeasible,
+    min_feasible_deadline: f64,
+}
+
+impl<'a> ExplainSearch<'a> {
+    /// The first stage: the cause test of `task` at `now` against the book
+    /// (committed releases + waiting queue) and, when it fails, the
+    /// counterfactual-deadline search. `None` when `task` is feasible
+    /// as-is.
+    ///
+    /// The deadline search seeds its upper probe at the analytic
+    /// full-cluster slack floor ([`crate::nmin::min_feasible_slack`])
+    /// measured from the latest committed release, doubles until
+    /// feasible, and bisects down keeping the infeasible/feasible bracket;
+    /// the reported value is the bracket's feasible end.
+    pub fn deadline_stage(
+        params: &'a ClusterParams,
+        algorithm: AlgorithmKind,
+        cfg: &'a PlanConfig,
+        now: SimTime,
+        committed_releases: &'a [SimTime],
+        queue: &'a [(Task, TaskPlan)],
+        task: &Task,
+    ) -> Option<Self> {
+        let book = ProbeBook::new(params, algorithm, cfg, now, committed_releases, queue);
+        let cause = book.probe(task).err()?;
+        let feasible = |d: f64| {
+            book.probe(&Task {
+                rel_deadline: d,
+                ..*task
+            })
+            .is_ok()
+        };
+        // The original deadline is known-infeasible (that is the rejection
+        // being explained), so it anchors the bracket's low end once a
+        // feasible high end is found.
+        let horizon = {
+            let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
+            let floor = crate::nmin::min_feasible_slack(params, task.data_size);
+            (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
+        };
+        let mut hi = task.rel_deadline.max(horizon);
+        let mut found = feasible(hi);
+        for _ in 0..64 {
+            if found || !hi.is_finite() {
+                break;
+            }
+            hi *= 2.0;
+            found = hi.is_finite() && feasible(hi);
+        }
+        let min_feasible_deadline = if found {
+            let mut lo = task.rel_deadline;
+            for _ in 0..64 {
+                if hi - lo <= EXPLAIN_TOL * hi.max(1.0) {
+                    break;
+                }
+                let mid = 0.5 * (lo + hi);
+                if feasible(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            hi
+        } else {
+            0.0
+        };
+        Some(ExplainSearch {
+            book,
+            committed_releases,
+            queue,
+            task: *task,
+            cause,
+            min_feasible_deadline,
+        })
+    }
+
+    /// The binding rejection cause at the probe instant.
+    pub fn cause(&self) -> Infeasible {
+        self.cause
+    }
+
+    /// The smallest feasible relative deadline; 0 when none was found.
+    pub fn min_feasible_deadline(&self) -> f64 {
+        self.min_feasible_deadline
+    }
+
+    /// `true` when a feasible counterfactual deadline was found.
+    pub fn has_feasible_deadline(&self) -> bool {
+        self.min_feasible_deadline > 0.0
+    }
+
+    /// The second stage: the σ bisection between a near-zero size and the
+    /// rejected size, and the earliest-start search over the queue's
+    /// dispatch instants (its `t = now` test is the cause test, already
+    /// failed).
+    pub fn finish(self) -> AdmissionExplanation {
+        let task = &self.task;
+        let feasible = |s: f64| {
+            self.book
+                .probe(&Task {
+                    data_size: s,
+                    ..*task
+                })
+                .is_ok()
+        };
+        // Near-zero is the best case; if even that fails the deadline is
+        // hopeless at any size and no suggestion is made.
+        let tiny = task.data_size * 1e-9;
+        let max_feasible_sigma = if tiny > 0.0 && feasible(tiny) {
+            let mut lo = tiny;
+            let mut hi = task.data_size;
+            for _ in 0..64 {
+                if hi - lo <= EXPLAIN_TOL * hi.max(1.0) {
+                    break;
+                }
+                let mid = 0.5 * (lo + hi);
+                if feasible(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        } else {
+            0.0
+        };
+        let book = &self.book;
+        let earliest = earliest_feasible_start_after(
+            book.params,
+            book.algorithm,
+            book.cfg,
+            book.now,
+            self.committed_releases,
+            self.queue,
+            task,
+        );
+        AdmissionExplanation {
+            cause: self.cause,
+            at: book.now,
+            slack_deficit: if self.has_feasible_deadline() {
+                self.min_feasible_deadline - task.rel_deadline
+            } else {
+                0.0
+            },
+            min_feasible_deadline: self.min_feasible_deadline,
+            max_feasible_sigma,
+            earliest_feasible_start: earliest.map(|t| t.as_f64()).unwrap_or(-1.0),
+        }
+    }
+}
+
+/// Explains why `task` fails the Fig. 2 test at `now` against the given
+/// book; `None` when it is in fact feasible as-is. Both stages of
+/// [`ExplainSearch`], back to back.
+///
+/// Every probe is the Fig. 2 test against the exact waiting queue and
+/// release vector the rejection saw, so suggestions hold against that
+/// book. The probes share one cached policy-order prefix
+/// ([`ExplainSearch`]), which yields the same result as a from-scratch
+/// [`schedulability_test`] per probe at a fraction of the planning. With
+/// waiting work the test is not monotone in one task's deadline (moving
+/// the candidate's deadline moves its slot in EDF order), so the bisection
+/// brackets a feasible/infeasible boundary rather than guaranteeing the
+/// global minimum; over committed releases alone it is exact.
 pub fn explain_infeasibility(
     params: &ClusterParams,
     algorithm: AlgorithmKind,
@@ -307,118 +602,8 @@ pub fn explain_infeasibility(
     queue: &[(Task, TaskPlan)],
     task: &Task,
 ) -> Option<AdmissionExplanation> {
-    let waiting: Vec<Task> = queue.iter().map(|(t, _)| *t).collect();
-    let feasible = |t: &Task| {
-        schedulability_test(
-            params,
-            algorithm,
-            cfg,
-            now,
-            committed_releases,
-            &waiting,
-            Some(t),
-        )
-        .is_ok()
-    };
-    let cause = match schedulability_test(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        &waiting,
-        Some(task),
-    ) {
-        Ok(_) => return None,
-        Err(f) => f.reason,
-    };
-
-    // Counterfactual deadline. The original deadline is known-infeasible
-    // (that is the rejection being explained), so it anchors the bracket's
-    // low end once a feasible high end is found.
-    let with_deadline = |d: f64| Task {
-        rel_deadline: d,
-        ..*task
-    };
-    let horizon = {
-        let last_release = committed_releases.iter().copied().fold(now, SimTime::max);
-        let floor = crate::nmin::min_feasible_slack(params, task.data_size);
-        (last_release.as_f64() - task.arrival.as_f64()).max(0.0) + floor
-    };
-    let mut hi = task.rel_deadline.max(horizon);
-    let mut found = feasible(&with_deadline(hi));
-    for _ in 0..64 {
-        if found || !hi.is_finite() {
-            break;
-        }
-        hi *= 2.0;
-        found = hi.is_finite() && feasible(&with_deadline(hi));
-    }
-    let min_feasible_deadline = if found {
-        let mut lo = task.rel_deadline;
-        for _ in 0..64 {
-            if hi - lo <= EXPLAIN_TOL * hi.max(1.0) {
-                break;
-            }
-            let mid = 0.5 * (lo + hi);
-            if feasible(&with_deadline(mid)) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        hi
-    } else {
-        0.0
-    };
-
-    // Counterfactual σ: near-zero is the best case; if even that fails the
-    // deadline is hopeless at any size and no suggestion is made.
-    let with_sigma = |s: f64| Task {
-        data_size: s,
-        ..*task
-    };
-    let tiny = task.data_size * 1e-9;
-    let max_feasible_sigma = if tiny > 0.0 && feasible(&with_sigma(tiny)) {
-        let mut lo = tiny;
-        let mut hi_s = task.data_size;
-        for _ in 0..64 {
-            if hi_s - lo <= EXPLAIN_TOL * hi_s.max(1.0) {
-                break;
-            }
-            let mid = 0.5 * (lo + hi_s);
-            if feasible(&with_sigma(mid)) {
-                lo = mid;
-            } else {
-                hi_s = mid;
-            }
-        }
-        lo
-    } else {
-        0.0
-    };
-
-    let earliest = earliest_feasible_start_search(
-        params,
-        algorithm,
-        cfg,
-        now,
-        committed_releases,
-        queue,
-        task,
-    );
-    Some(AdmissionExplanation {
-        cause,
-        at: now,
-        slack_deficit: if min_feasible_deadline > 0.0 {
-            min_feasible_deadline - task.rel_deadline
-        } else {
-            0.0
-        },
-        min_feasible_deadline,
-        max_feasible_sigma,
-        earliest_feasible_start: earliest.map(|t| t.as_f64()).unwrap_or(-1.0),
-    })
+    ExplainSearch::deadline_stage(params, algorithm, cfg, now, committed_releases, queue, task)
+        .map(ExplainSearch::finish)
 }
 
 /// The outcome of submitting a task to an admission engine.
@@ -626,7 +811,21 @@ pub trait Admission: Clone + core::fmt::Debug {
         request: &crate::request::SubmitRequest,
         now: SimTime,
     ) -> Option<AdmissionExplanation> {
-        explain_infeasibility(
+        self.explain_search(request, now).map(ExplainSearch::finish)
+    }
+
+    /// The deadline stage of [`explain`](Admission::explain) (see
+    /// [`ExplainSearch`]): the cause and the smallest feasible deadline,
+    /// with the σ and earliest-start searches left to
+    /// [`ExplainSearch::finish`]. `None` when the request is admissible
+    /// as-is. A caller explaining against several engines runs this on each
+    /// and finishes only the one it reports.
+    fn explain_search(
+        &self,
+        request: &crate::request::SubmitRequest,
+        now: SimTime,
+    ) -> Option<ExplainSearch<'_>> {
+        ExplainSearch::deadline_stage(
             self.params(),
             self.algorithm(),
             self.config(),

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::admission::{
         explain_infeasibility, schedulability_test, Admission, AdmissionController,
         AdmissionExplanation, AdmissionFailure, ControllerState, Decision, EngineProfile,
-        IncrementalController, IncrementalStats,
+        ExplainSearch, IncrementalController, IncrementalStats,
     };
     pub use crate::algorithm::AlgorithmKind;
     pub use crate::dlt::heterogeneous::HeterogeneousModel;

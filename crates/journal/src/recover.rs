@@ -19,6 +19,27 @@
 //!    [`JournalEvent::Demoted`]) rather than kept as a guarantee the
 //!    cluster can no longer honor.
 //!
+//! Step 4 can demote even with zero downtime, when the log is recovered at
+//! its own last event instant. The serving benchmark's `overload` workload
+//! shows it: 63 demotions from 27 rebuilds at seed 1. Every shard queue
+//! that demoted held a plan whose first start lay before the recovery
+//! instant, and the strict replan there pushes that plan, or the tasks
+//! behind it, past their deadlines.
+//!
+//! The cause is not in recovery but in how the live gateway was driven. A
+//! defer ticket expires only once the clock is *definitely after* its
+//! latest start, yet
+//! [`DeferredQueue::next_deadline`](rtdls_service::prelude::DeferredQueue::next_deadline)
+//! reports the latest start itself. A drive at that instant re-tests the
+//! ticket and keeps it, so the gateway's next-due instant does not move. A
+//! driver that steps from one next-due instant to the next then stops
+//! there until the next submission arrives, and the waiting plans that fall
+//! due in between are not dispatched on time. Their plans keep first starts
+//! in the past: an accepting submission would replan them, but a refused
+//! one leaves them as they are. Replay restores exactly those plans, so the
+//! demotion is honest: the live gateway would have dispatched them late,
+//! against release estimates that assume the earlier start.
+//!
 //! The result is wrapped in a fresh [`JournaledGateway`] whose journal
 //! begins with a post-recovery snapshot — recovery doubles as compaction.
 

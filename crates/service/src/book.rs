@@ -441,7 +441,9 @@ pub(crate) fn decide_request<A: Admission>(
     if book.explain_enabled
         && matches!(verdict, Verdict::Rejected { .. } | Verdict::Deferred { .. })
     {
+        let explain_phase = book.profiler.start();
         verdict = verdict.with_explanation(engine.explain(request, now));
+        book.profiler.stop("gateway/explain", explain_phase);
     }
     match verdict {
         Verdict::Accepted => {

@@ -39,8 +39,8 @@ use serde::{Deserialize, Serialize};
 use rtdls_core::error::ModelError;
 use rtdls_core::prelude::{
     Admission, AdmissionController, AdmissionFailure, AlgorithmKind, ClusterParams,
-    ControllerState, Decision, Infeasible, NodeId, PlanConfig, SimTime, SubmitRequest, Task,
-    TaskId, TaskPlan,
+    ControllerState, Decision, ExplainSearch, Infeasible, NodeId, PlanConfig, SimTime,
+    SubmitRequest, Task, TaskId, TaskPlan,
 };
 use rtdls_sim::frontend::{Frontend, SubmitOutcome};
 
@@ -231,40 +231,36 @@ impl<A: Admission> RoutedShards<'_, A> {
 }
 
 /// The cluster-level explanation for a request every shard refuses: each
-/// shard explains independently, and the shard offering the *smallest*
-/// feasible counterfactual deadline wins — a resubmission relaxed to that
-/// deadline would be admitted by that shard, so the suggestion stays
-/// honest across the whole fleet. Shards without a feasible deadline lose
-/// to any shard with one; `None` only when no shard refuses (feasible
-/// somewhere as-is).
+/// shard runs the deadline stage of its search independently, and the
+/// shard offering the *smallest* feasible counterfactual deadline wins (the
+/// first on ties) — a resubmission relaxed to that deadline would be
+/// admitted by that shard, so the suggestion stays honest across the whole
+/// fleet. Shards without a feasible deadline lose to any shard with one.
+/// Only the winner runs the finish stage (σ and earliest start), which is
+/// the same report as finishing every shard and keeping the winner's.
+/// `None` only when no shard refuses (feasible somewhere as-is).
 fn best_explanation<A: Admission>(
     shards: &[Shard<A>],
     request: &SubmitRequest,
     now: SimTime,
 ) -> Option<rtdls_core::prelude::AdmissionExplanation> {
-    let mut best: Option<rtdls_core::prelude::AdmissionExplanation> = None;
+    let mut best: Option<ExplainSearch<'_>> = None;
     for shard in shards {
-        let Some(ex) = shard.ctl.explain(request, now) else {
-            // Feasible as-is on this shard: nothing to explain.
-            return None;
+        // Feasible as-is on this shard: nothing to explain.
+        let search = shard.ctl.explain_search(request, now)?;
+        let better = match &best {
+            None => true,
+            Some(cur) => match (search.has_feasible_deadline(), cur.has_feasible_deadline()) {
+                (true, true) => search.min_feasible_deadline() < cur.min_feasible_deadline(),
+                (true, false) => true,
+                _ => false,
+            },
         };
-        best = Some(match best {
-            None => ex,
-            Some(cur) => {
-                let better = match (ex.has_feasible_deadline(), cur.has_feasible_deadline()) {
-                    (true, true) => ex.min_feasible_deadline < cur.min_feasible_deadline,
-                    (true, false) => true,
-                    _ => false,
-                };
-                if better {
-                    ex
-                } else {
-                    cur
-                }
-            }
-        });
+        if better {
+            best = Some(search);
+        }
     }
-    best
+    best.map(ExplainSearch::finish)
 }
 
 /// Online admission gateway over `K` independent cluster shards, generic
@@ -610,7 +606,8 @@ impl<A: Admission> ShardedGateway<A> {
     }
 
     /// Attaches a hot-path profiler handle: the routed admission/plan phase
-    /// of every decision starts timing into `gateway/plan`.
+    /// of every decision starts timing into `gateway/plan`, and the
+    /// explanation of a refusal (when enabled) into `gateway/explain`.
     pub fn attach_profiler(&mut self, profiler: &rtdls_telemetry::Profiler) {
         self.book.set_profiler(profiler.clone());
     }
@@ -979,6 +976,31 @@ mod tests {
             DeferPolicy::default(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn explanations_are_profiled_apart_from_planning() {
+        let mut g = sharded(2, Routing::RoundRobin);
+        let profiler = rtdls_telemetry::Profiler::enabled();
+        g.attach_profiler(&profiler);
+        g.enable_explanations(true);
+        let roomy = Task::new(1, 0.0, 200.0, 50_000.0);
+        assert_eq!(
+            g.submit_request(&SubmitRequest::new(roomy), SimTime::ZERO),
+            Verdict::Accepted
+        );
+        let hopeless = Task::new(2, 0.0, 50_000.0, 1.0);
+        let refused = g.submit_request(&SubmitRequest::new(hopeless), SimTime::ZERO);
+        assert!(refused.explanation().is_some());
+        let count = |path: &str| {
+            profiler
+                .snapshot()
+                .iter()
+                .find(|p| p.path == path)
+                .map_or(0, |p| p.count)
+        };
+        assert_eq!(count("gateway/plan"), 2);
+        assert_eq!(count("gateway/explain"), 1, "only the refusal is explained");
     }
 
     #[test]
